@@ -340,6 +340,19 @@ type ChunkPatches<'a> = (usize, Vec<(usize, &'a [u8])>);
 /// parity chunks do not.
 type MemberNew = (ChunkAddr, Vec<u8>, bool);
 
+/// A write group's old values before any mutation: each data chunk's, in
+/// group order, and each available parity member's, by address.
+type Snapshot = (Vec<Vec<u8>>, BTreeMap<ChunkAddr, Vec<u8>>);
+
+/// One device op of a wave's commit phase (see
+/// [`OiRaidStore::commit_members`]).
+enum CommitOp<'a> {
+    /// Write one member's new value.
+    Write(&'a MemberNew),
+    /// Flush one disk after its member writes.
+    Flush(usize),
+}
+
 /// An OI-RAID array storing real bytes on pluggable block devices.
 ///
 /// Writes maintain both parity layers incrementally (1 data + 3 parity chunk
@@ -462,7 +475,8 @@ struct FlushStats {
     devices: AtomicU64,
     /// Devices flushed per barrier (the flush batch size).
     batch: Arc<Histogram>,
-    /// Wall time a commit stalled behind one barrier, in nanoseconds.
+    /// Wall time of one barrier, from its first device flush starting to
+    /// its last one ending, in nanoseconds.
     stall: Arc<Histogram>,
 }
 
@@ -1014,6 +1028,19 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
     }
 
+    /// Maps a read error meaning the chunk's bytes are gone for good on a
+    /// live disk — a latent sector, a hard I/O error — to `Ok(None)`, so
+    /// the caller reconstructs the chunk exactly like an unavailable one.
+    /// Transient errors that outlasted the retry budget still surface.
+    fn lost_as_missing(
+        read: Result<Option<Vec<u8>>, StoreError>,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        match read {
+            Err(StoreError::Device { error, .. }) if !error.is_transient() => Ok(None),
+            other => other,
+        }
+    }
+
     /// Writes logical data chunk `idx`, updating both parity layers
     /// incrementally (4 chunk writes on 4 distinct disks on the healthy
     /// path).
@@ -1024,6 +1051,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// the XOR delta is applied to every *available* member; the missing
     /// members' implied values then already reflect the new data, so a
     /// subsequent rebuild materialises the write rather than losing it.
+    ///
+    /// This is a write group of one chunk — the same path as
+    /// [`Self::write_bytes_batch`] — and, carrying a single chunk, it runs
+    /// every device op inline on the calling thread.
     ///
     /// # Errors
     ///
@@ -1044,123 +1075,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             });
         }
         self.qos.note_foreground();
-        let began = Instant::now();
-        let addr = self.array.locate_data(idx);
-        let targets = self
-            .array
-            .update_set(addr)
-            .map_err(|error| StoreError::Layout { error })?;
-        let outer = targets[1 + self.array.geometry().p_in];
-        debug_assert_eq!(self.array.chunk_role(outer), layout::Role::Parity);
-        // The whole read-modify-write runs under the relations it touches:
-        // parity deltas from concurrent writers to *intersecting* relation
-        // sets must not interleave, and the rebuilder's writebacks must not
-        // race the patches — but writers to disjoint relations proceed in
-        // parallel on their own lock stripes.
-        let mut regions = self.regions_for(addr);
-        regions.extend(self.regions_for(outer));
-        {
-            let guard = self.online.lock_regions(&regions);
-            let degraded = targets.iter().any(|t| !self.chunk_available(*t));
-            let old = match self.chunk(addr)? {
-                Some(bytes) => Some(bytes),
-                None => self.reconstruct_chunk_local(addr),
-            };
-            if let Some(old) = old {
-                self.apply_write(addr, outer, data, &old)?;
-                drop(guard);
-                if degraded {
-                    self.telem.record_degraded_write(began.elapsed());
-                }
-                self.telem.record_foreground_write(began.elapsed());
-                return Ok(());
-            }
-        }
-        // The failure pattern is too dense for the local decode: the old
-        // value needs the whole-array fixpoint, whose read set no bounded
-        // region footprint covers. Re-run under the exclusive lock, which
-        // excludes every region holder and gives the decode a stable view.
-        let _guard = self.online.lock_updates();
-        let old = match self.chunk(addr)? {
-            Some(bytes) => bytes,
-            None => self.reconstruct_chunk(addr)?,
-        };
-        self.apply_write(addr, outer, data, &old)?;
-        drop(_guard);
-        self.telem.record_degraded_write(began.elapsed());
-        self.telem.record_foreground_write(began.elapsed());
-        Ok(())
-    }
-
-    /// The locked body of [`Self::write_data`]: applies `data` over the
-    /// already-read `old` value at `addr`. Callers hold either the region
-    /// guards covering `addr` and `outer` or the exclusive update lock.
-    ///
-    /// Compute-then-commit: every member's absolute new value is derived
-    /// *before* any device is touched (outer parity absorbs Δ directly,
-    /// each affected row's inner parities the code-weighted Δ; unavailable
-    /// members are skipped — their implied values track the update through
-    /// the surviving relations), then the whole set commits through
-    /// [`Self::commit_members`] — journaled as one intent record when a
-    /// journal is attached. Same reads and writes per device as patching
-    /// members one at a time; only the ordering moves.
-    fn apply_write(
-        &self,
-        addr: ChunkAddr,
-        outer: ChunkAddr,
-        data: &[u8],
-        old: &[u8],
-    ) -> Result<(), StoreError> {
-        let mut delta = self.pool.take_dirty();
-        for ((d, o), n) in delta.iter_mut().zip(old).zip(data) {
-            *d = o ^ n;
-        }
-        let mut parity: BTreeMap<ChunkAddr, Vec<u8>> = BTreeMap::new();
-        Self::acc_parity(&mut parity, &self.pool, outer, &delta, 1);
-        self.acc_row_parities(&mut parity, addr, &delta);
-        self.acc_row_parities(&mut parity, outer, &delta);
-        self.pool.put(delta);
-        let mut news: Vec<MemberNew> = Vec::with_capacity(1 + parity.len());
-        // Data chunk: we hold the full new value, so any writable device
-        // takes it — including a mid-rebuild disk, whose chunk becomes
-        // valid at commit.
-        if !self.disk_down(addr.disk) {
-            let mut buf = self.pool.take_dirty();
-            buf.copy_from_slice(data);
-            news.push((addr, buf, true));
-        }
-        self.resolve_parity_news(parity, &mut news)?;
-        self.commit_members(&news)?;
-        for (_, buf, _) in news {
-            self.pool.put(buf);
-        }
-        // Tell an in-flight rebuild that these relations changed under it:
-        // reconstructions read from them this round are stale.
-        let mut regions = self.regions_for(addr);
-        regions.extend(self.regions_for(outer));
-        self.online.mark_dirty(regions);
-        Ok(())
-    }
-
-    /// Converts accumulated parity deltas into absolute member new values:
-    /// one read per available parity member, XORed with its delta.
-    /// Unavailable members are skipped exactly as the one-at-a-time path
-    /// skipped them.
-    fn resolve_parity_news(
-        &self,
-        parity: BTreeMap<ChunkAddr, Vec<u8>>,
-        news: &mut Vec<MemberNew>,
-    ) -> Result<(), StoreError> {
-        for (paddr, pdelta) in parity {
-            if self.chunk_available(paddr) {
-                if let Some(mut bytes) = self.chunk_pooled(paddr)? {
-                    gf::kernels::xor_acc(&mut bytes, &pdelta);
-                    news.push((paddr, bytes, false));
-                }
-            }
-            self.pool.put(pdelta);
-        }
-        Ok(())
+        self.write_group(&[(idx, vec![(0, data)])])
     }
 
     /// Commits one update's member new-values crash-consistently:
@@ -1171,8 +1086,14 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// never happened. Redo uses absolute values, so replaying an update
     /// whose members were partially (or fully) written is idempotent.
     /// Without a journal attached this is just the member writes.
-    fn commit_members(&self, news: &[MemberNew]) -> Result<(), StoreError> {
-        let seq = match &self.durable {
+    ///
+    /// The member writes are one device phase: with `fan` set, each disk
+    /// writes its members — and under [`FlushPolicy::PerWave`] then
+    /// flushes itself — in parallel with the other disks (see
+    /// [`Self::per_disk`]); the applied marker waits for every disk.
+    fn commit_members(&self, news: &[MemberNew], fan: bool) -> Result<(), StoreError> {
+        let durable = self.durable.as_deref();
+        let seq = match durable {
             Some(d) => {
                 let writes: Vec<MemberWrite> = news
                     .iter()
@@ -1188,53 +1109,143 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
             None => None,
         };
-        for (maddr, bytes, is_data) in news {
-            self.write_chunk(*maddr, bytes)?;
-            crash_point("member_write");
-            if *is_data {
-                self.online.mark_valid(*maddr);
+        let per_wave = durable.is_some_and(|d| d.policy == FlushPolicy::PerWave);
+        let mut ops: Vec<(usize, CommitOp<'_>)> = news
+            .iter()
+            .map(|m| (m.0.disk, CommitOp::Write(m)))
+            .collect();
+        if per_wave {
+            // Power-loss model: each disk flushes after its own member
+            // writes (stable per-disk order in `per_disk`), and the
+            // applied marker below waits for every flush.
+            let disks: BTreeSet<usize> = news.iter().map(|(a, _, _)| a.disk).collect();
+            ops.extend(disks.into_iter().map(|d| (d, CommitOp::Flush(d))));
+        }
+        // Every job has finished when `per_disk` returns, so the first
+        // error can end the commit: no marker is appended after it.
+        let mut flushed = 0u64;
+        let mut flush_span: Option<(Instant, Instant)> = None;
+        for done in Self::per_disk(fan, ops, |op| self.commit_op(op)) {
+            if let Some((from, to)) = done? {
+                flushed += 1;
+                let (a, b) = flush_span.get_or_insert((from, to));
+                *a = (*a).min(from);
+                *b = (*b).max(to);
             }
         }
-        if let Some(seq) = seq {
-            let d = self.durable.as_ref().expect("journaled above");
-            match d.policy {
-                // Process-crash model: the page cache keeps member writes
-                // alive through the abort, so the marker needs no barrier.
-                FlushPolicy::Never => d.journal.mark_applied(seq).map_err(journal_err)?,
-                // Power-loss model: the applied marker may only be
-                // appended once the member flush completed, and truncation
-                // is safe because every earlier marker obeyed the same
-                // rule — the whole log's member writes are on stable
-                // storage by the time it drains.
-                FlushPolicy::PerWave => {
-                    let disks = news.iter().map(|(a, _, _)| a.disk).collect::<BTreeSet<_>>();
-                    self.flush_disks_inner(&d.flush_stats, disks)?;
-                    crash_point("member_flush");
-                    if d.journal
-                        .mark_applied_no_truncate(seq)
-                        .map_err(journal_err)?
-                    {
-                        d.journal.try_truncate().map_err(journal_err)?;
-                    }
+        let (Some(seq), Some(d)) = (seq, durable) else {
+            return Ok(());
+        };
+        match d.policy {
+            // Process-crash model: the page cache keeps member writes
+            // alive through the abort, so the marker needs no barrier.
+            FlushPolicy::Never => d.journal.mark_applied(seq).map_err(journal_err)?,
+            // Power-loss model: the applied marker may only be appended
+            // once the member flush completed, and truncation is safe
+            // because every earlier marker obeyed the same rule — the
+            // whole log's member writes are on stable storage by the time
+            // it drains.
+            FlushPolicy::PerWave => {
+                let stall = flush_span.map_or(Duration::ZERO, |(a, b)| b - a);
+                Self::record_flush(&d.flush_stats, flushed, stall);
+                crash_point("member_flush");
+                if d.journal
+                    .mark_applied_no_truncate(seq)
+                    .map_err(journal_err)?
+                {
+                    d.journal.try_truncate().map_err(journal_err)?;
                 }
-                // Deferred barrier: park the marker behind the flush
-                // high-water mark; a commit past the deadline runs the
-                // flush cycle inline (a background flusher can run it too,
-                // see `spawn_flusher`).
-                FlushPolicy::Timed(interval) => {
-                    let due = {
-                        let mut p = d.pending.lock().expect("pending flush lock");
-                        p.seqs.push(seq);
-                        p.dirty.extend(news.iter().map(|(a, _, _)| a.disk));
-                        p.last_flush.elapsed() >= interval
-                    };
-                    if due {
-                        self.flush_pending()?;
-                    }
+            }
+            // Deferred barrier: park the marker behind the flush
+            // high-water mark; a commit past the deadline runs the flush
+            // cycle inline (a background flusher can run it too, see
+            // `spawn_flusher`).
+            FlushPolicy::Timed(interval) => {
+                let due = {
+                    let mut p = d.pending.lock().expect("pending flush lock");
+                    p.seqs.push(seq);
+                    p.dirty.extend(news.iter().map(|(a, _, _)| a.disk));
+                    p.last_flush.elapsed() >= interval
+                };
+                if due {
+                    self.flush_pending()?;
                 }
             }
         }
         Ok(())
+    }
+
+    /// Runs one op of the commit phase on its disk. A member flush returns
+    /// when it started and ended (`None` for a failed disk, which is
+    /// skipped — its contents are gone either way).
+    fn commit_op(&self, op: CommitOp<'_>) -> Result<Option<(Instant, Instant)>, StoreError> {
+        match op {
+            CommitOp::Write((maddr, bytes, is_data)) => {
+                self.write_chunk(*maddr, bytes)?;
+                crash_point("member_write");
+                if *is_data {
+                    self.online.mark_valid(*maddr);
+                }
+                Ok(None)
+            }
+            CommitOp::Flush(disk) => {
+                let began = Instant::now();
+                Ok(self.flush_disk(disk)?.then(|| (began, Instant::now())))
+            }
+        }
+    }
+
+    /// Runs one phase of a multi-chunk call with its device ops served per
+    /// disk: `ops` are `(disk, op)` pairs, each disk's ops run in input
+    /// order, and different disks' ops run side by side — the calling
+    /// thread serves one disk itself and every other disk gets a scoped
+    /// thread that re-enters the caller's trace, so device events still
+    /// hang under the caller's node. Results come back in input order.
+    ///
+    /// With `fan` unset (a call carrying a single chunk), or when every op
+    /// lands on one disk, the ops simply run inline in input order.
+    fn per_disk<T: Send, R: Send>(
+        fan: bool,
+        ops: Vec<(usize, T)>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        if !fan || ops.iter().all(|(d, _)| *d == ops[0].0) {
+            return ops.into_iter().map(|(_, op)| f(op)).collect();
+        }
+        let n = ops.len();
+        let mut groups: BTreeMap<usize, Vec<(usize, T)>> = BTreeMap::new();
+        for (i, (disk, op)) in ops.into_iter().enumerate() {
+            groups.entry(disk).or_default().push((i, op));
+        }
+        let run = |group: Vec<(usize, T)>| -> Vec<(usize, R)> {
+            group.into_iter().map(|(i, op)| (i, f(op))).collect()
+        };
+        let trace = telemetry::current_trace();
+        let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+        std::thread::scope(|s| {
+            let mut groups = groups.into_values();
+            let mine = groups.next().expect("ops span at least two disks");
+            let helpers: Vec<_> = groups
+                .map(|group| {
+                    let run = &run;
+                    s.spawn(move || {
+                        let _trace = (trace != 0).then(|| telemetry::enter_trace(trace));
+                        run(group)
+                    })
+                })
+                .collect();
+            let mut done = run(mine);
+            for h in helpers {
+                match h.join() {
+                    Ok(rs) => done.extend(rs),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            for (i, r) in done {
+                out[i] = Some(r);
+            }
+        });
+        out.into_iter().map(|r| r.expect("every op ran")).collect()
     }
 
     /// Runs one `FlushPolicy::Timed` flush cycle now: flushes every disk
@@ -1275,11 +1286,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         Ok(seqs.len())
     }
 
-    /// Flushes `disks` through [`BlockDevice::flush`], retrying transient
-    /// failures (a lost cache-flush command must be reissued before the
-    /// barrier counts), and records the `oi_flush_*` stats for the
-    /// barrier. Failed disks are skipped — their contents are gone either
-    /// way.
+    /// Flushes `disks` one after another and records the `oi_flush_*`
+    /// stats for the barrier (see [`Self::flush_disk`]).
     fn flush_disks_inner(
         &self,
         stats: &FlushStats,
@@ -1288,24 +1296,37 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let began = Instant::now();
         let mut flushed = 0u64;
         for disk in disks {
-            if self.disk_down(disk) {
-                continue;
-            }
-            let mut attempts = 0u32;
-            loop {
-                match self.devices[disk].flush() {
-                    Ok(()) => break,
-                    Err(error) if error.is_transient() && attempts < 8 => attempts += 1,
-                    Err(error) => return Err(StoreError::Device { disk, error }),
-                }
-            }
-            flushed += 1;
+            flushed += u64::from(self.flush_disk(disk)?);
         }
+        Self::record_flush(stats, flushed, began.elapsed());
+        Ok(())
+    }
+
+    /// Flushes one disk through [`BlockDevice::flush`], retrying transient
+    /// failures (a lost cache-flush command must be reissued before the
+    /// barrier counts). A failed disk is skipped — its contents are gone
+    /// either way — and reports `false`.
+    fn flush_disk(&self, disk: usize) -> Result<bool, StoreError> {
+        if self.disk_down(disk) {
+            return Ok(false);
+        }
+        let mut attempts = 0u32;
+        loop {
+            match self.devices[disk].flush() {
+                Ok(()) => return Ok(true),
+                Err(error) if error.is_transient() && attempts < 8 => attempts += 1,
+                Err(error) => return Err(StoreError::Device { disk, error }),
+            }
+        }
+    }
+
+    /// Records one member-flush barrier: `flushed` devices, `stall` wall
+    /// time from its first flush to its last.
+    fn record_flush(stats: &FlushStats, flushed: u64, stall: Duration) {
         stats.waves.fetch_add(1, Ordering::Relaxed);
         stats.devices.fetch_add(flushed, Ordering::Relaxed);
         stats.batch.record(flushed);
-        stats.stall.record_duration(began.elapsed());
-        Ok(())
+        stats.stall.record_duration(stall);
     }
 
     /// Flushes the rebuild target disks before a checkpoint save when the
@@ -1359,7 +1380,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Reads logical data chunk `idx`, reconstructing through the
-    /// redundancy if its disk is failed (or mid-rebuild).
+    /// redundancy if its disk is failed (or mid-rebuild), or if its bytes
+    /// are lost on a live disk (a latent sector).
     ///
     /// # Errors
     ///
@@ -1375,7 +1397,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         self.qos.note_foreground();
         let began = Instant::now();
         let addr = self.array.locate_data(idx);
-        if let Some(bytes) = self.chunk(addr)? {
+        if let Some(bytes) = Self::lost_as_missing(self.chunk(addr))? {
             self.telem.record_foreground_read(began.elapsed());
             return Ok(bytes);
         }
@@ -1391,7 +1413,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             let guard = self.online.lock_regions(&self.regions_for(addr));
             // Re-check under the lock: the rebuilder (or a degraded write)
             // may have restored the chunk while we waited.
-            if let Some(bytes) = self.chunk(addr)? {
+            if let Some(bytes) = Self::lost_as_missing(self.chunk(addr))? {
                 self.telem.record_foreground_read(began.elapsed());
                 return Ok(bytes);
             }
@@ -1405,7 +1427,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // Local relations cannot decode it: fall back to the whole-array
         // fixpoint under the exclusive lock (see `write_data`).
         let _guard = self.online.lock_updates();
-        if let Some(bytes) = self.chunk(addr)? {
+        if let Some(bytes) = Self::lost_as_missing(self.chunk(addr))? {
             self.telem.record_foreground_read(began.elapsed());
             return Ok(bytes);
         }
@@ -2029,10 +2051,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
     /// Reads many logical data chunks in one submission, deduplicating
     /// repeated indices and coalescing physically-adjacent healthy chunks
-    /// into single [`BlockDevice::read_chunks`] runs per disk. Unavailable
-    /// chunks fall back to the degraded [`Self::read_data`] machinery
-    /// one-by-one. Returns one chunk value per input index, in input order
-    /// (duplicates get copies of the same fetch).
+    /// into single [`BlockDevice::read_chunks`] runs per disk; the runs of
+    /// different disks are served in parallel. Unavailable chunks (and
+    /// chunks whose run read failed) fall back to the degraded
+    /// [`Self::read_data`] machinery one-by-one. Returns one chunk value
+    /// per input index, in input order (duplicates get copies of the same
+    /// fetch).
     ///
     /// Foreground-read latency is recorded per *distinct* chunk at batch
     /// completion — the latency a batched client actually observes.
@@ -2079,8 +2103,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
         }
         // Healthy chunks: sort by physical placement and coalesce
-        // consecutive offsets on the same disk into one device run.
+        // consecutive offsets on the same disk into one device run; the
+        // runs then make one device phase, served per disk.
         direct.sort_unstable_by_key(|(_, a)| (a.disk, a.offset));
+        let mut runs: Vec<(usize, &[(usize, ChunkAddr)])> = Vec::new();
         let mut i = 0;
         while i < direct.len() {
             let mut j = i + 1;
@@ -2090,30 +2116,37 @@ impl<B: BlockDevice> OiRaidStore<B> {
             {
                 j += 1;
             }
-            let run = &direct[i..j];
+            runs.push((direct[i].1.disk, &direct[i..j]));
+            i = j;
+        }
+        let policy = self.retry_policy();
+        let reads = Self::per_disk(true, runs, |run| {
             let disk = run[0].1.disk;
-            let first = run[0].1.offset;
             let mut buf = vec![0u8; run.len() * cs];
-            let reader = RetryReader::new(&self.devices[disk], self.retry_policy());
-            let run_trace = telemetry::trace_scope(
+            let _run_trace = telemetry::trace_scope(
                 telemetry::EventKind::DiskRun,
                 disk as u64,
                 run.len() as u64,
             );
-            let failures = reader.read_chunks_degrading(first, run.len(), &mut buf);
-            drop(run_trace);
+            let failures = RetryReader::new(&self.devices[disk], policy).read_chunks_degrading(
+                run[0].1.offset,
+                run.len(),
+                &mut buf,
+            );
+            (run, buf, failures)
+        });
+        for (run, buf, failures) in reads {
             let failed: BTreeSet<usize> = failures.into_iter().map(|(c, _)| c).collect();
             for (slot, (idx, addr)) in run.iter().enumerate() {
                 if failed.contains(&addr.offset) {
                     // Went unreadable since the availability check (disk
-                    // died, latent sector): the degraded single-chunk path
-                    // sorts it out below.
+                    // died, latent sector): the single-chunk path below
+                    // reconstructs it under the region lock.
                     fallback.push(*idx);
                 } else {
                     fetched.insert(*idx, buf[slot * cs..(slot + 1) * cs].to_vec());
                 }
             }
-            i = j;
         }
         let direct_took = began.elapsed();
         for _ in 0..fetched.len() {
@@ -2222,12 +2255,18 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// writes and accumulated parity deltas (see
     /// [`Self::apply_write_group`]). Escalates the whole group to the
     /// exclusive update lock when any old value needs the whole-array
-    /// decode fixpoint — same two-tier locking as [`Self::write_data`].
+    /// decode fixpoint. [`Self::write_data`] is a group of one.
+    ///
+    /// A group of more than one chunk makes two parallel device phases —
+    /// the old-value snapshot and the member commit — each served per disk
+    /// by [`Self::per_disk`]; a group of one runs inline.
     fn write_group(&self, group: &[ChunkPatches<'_>]) -> Result<(), StoreError> {
         let _trace =
             telemetry::trace_scope(telemetry::EventKind::WriteGroup, group.len() as u64, 0);
         let began = Instant::now();
+        let fan = group.len() > 1;
         let mut items: Vec<(ChunkAddr, ChunkAddr, bool)> = Vec::with_capacity(group.len());
+        let mut members: BTreeSet<ChunkAddr> = BTreeSet::new();
         let mut regions: Vec<Region> = Vec::new();
         for (idx, _) in group {
             let addr = self.array.locate_data(*idx);
@@ -2240,92 +2279,137 @@ impl<B: BlockDevice> OiRaidStore<B> {
             regions.extend(self.regions_for(addr));
             regions.extend(self.regions_for(outer));
             let degraded = targets.iter().any(|t| !self.chunk_available(*t));
+            members.extend(&targets[1..]);
             items.push((addr, outer, degraded));
         }
-        let mut olds: Vec<Vec<u8>> = Vec::with_capacity(group.len());
+        let record = |took: Duration| {
+            for (_, _, degraded) in &items {
+                if *degraded {
+                    self.telem.record_degraded_write(took);
+                }
+                self.telem.record_foreground_write(took);
+            }
+        };
         {
             let guard = self.online.lock_regions(&regions);
-            // Snapshot every old value before any mutation: group members
-            // that share relations must reconstruct against the pre-group
-            // state, exactly what each one-at-a-time write would have seen
-            // at its turn (parity patches cancel out of the reconstruction
-            // by linearity).
-            let mut local = true;
-            for (addr, _, _) in &items {
-                match self.chunk(*addr)? {
-                    Some(b) => olds.push(b),
-                    None => match self.reconstruct_chunk_local(*addr) {
-                        Some(b) => olds.push(b),
-                        None => {
-                            local = false;
-                            break;
-                        }
-                    },
-                }
-            }
-            if local {
-                self.apply_write_group(group, &items, &olds, &regions)?;
+            if let Some(snap) = self.snapshot_olds(fan, &items, &members, false)? {
+                self.apply_write_group(group, &items, snap, &regions, fan)?;
                 drop(guard);
-                let took = began.elapsed();
-                for (_, _, degraded) in &items {
-                    if *degraded {
-                        self.telem.record_degraded_write(took);
-                    }
-                    self.telem.record_foreground_write(took);
-                }
+                record(began.elapsed());
                 return Ok(());
             }
         }
         // The failure pattern is too dense for a local decode somewhere in
-        // the group: re-run the whole group under the exclusive lock, whose
-        // stable view the whole-array fixpoint needs (see `write_data`).
+        // the group: re-run the whole group under the exclusive lock, which
+        // excludes every region holder and gives the whole-array fixpoint
+        // the stable view it needs.
         let _guard = self.online.lock_updates();
-        olds.clear();
-        for (addr, _, _) in &items {
-            let old = match self.chunk(*addr)? {
-                Some(b) => b,
-                None => self.reconstruct_chunk(*addr)?,
+        let snap = self
+            .snapshot_olds(fan, &items, &members, true)?
+            .expect("the exclusive decode answers or errors");
+        self.apply_write_group(group, &items, snap, &regions, fan)?;
+        drop(_guard);
+        record(began.elapsed());
+        Ok(())
+    }
+
+    /// The old-value snapshot of [`Self::write_group`], taken before any
+    /// mutation: every data chunk's old value, in `items` order, plus the
+    /// old value of every available parity member of their update sets.
+    /// Group members that share relations thus reconstruct against the
+    /// pre-group state, exactly what each one-at-a-time write would have
+    /// seen at its turn (parity patches cancel out of the reconstruction by
+    /// linearity). Under the caller's locks the reads are independent, so
+    /// they make one device phase, served per disk when `fan` is set.
+    ///
+    /// A chunk that is unavailable, or whose bytes are lost on a live disk
+    /// (see [`Self::lost_as_missing`]), is reconstructed — locally, or
+    /// through the whole-array fixpoint when `exclusive` (the caller holds
+    /// the exclusive update lock). Unavailable parity members are left out:
+    /// their implied values track the update through the surviving
+    /// relations. `Ok(None)` means a local decode failed and the caller
+    /// must retry under the exclusive lock.
+    fn snapshot_olds(
+        &self,
+        fan: bool,
+        items: &[(ChunkAddr, ChunkAddr, bool)],
+        members: &BTreeSet<ChunkAddr>,
+        exclusive: bool,
+    ) -> Result<Option<Snapshot>, StoreError> {
+        let ops: Vec<(usize, ChunkAddr)> = items
+            .iter()
+            .map(|(addr, _, _)| addr)
+            .chain(members)
+            .map(|a| (a.disk, *a))
+            .collect();
+        let mut reads =
+            Self::per_disk(fan, ops, |a| Self::lost_as_missing(self.chunk_pooled(a))).into_iter();
+        let rebuild = |addr: ChunkAddr| -> Result<Option<Vec<u8>>, StoreError> {
+            if exclusive {
+                self.reconstruct_chunk(addr).map(Some)
+            } else {
+                Ok(self.reconstruct_chunk_local(addr))
+            }
+        };
+        let mut olds = Vec::with_capacity(items.len());
+        for ((addr, _, _), read) in items.iter().zip(&mut reads) {
+            let old = match read? {
+                Some(bytes) => bytes,
+                None => match rebuild(*addr)? {
+                    Some(bytes) => bytes,
+                    None => return Ok(None),
+                },
             };
             olds.push(old);
         }
-        self.apply_write_group(group, &items, &olds, &regions)?;
-        drop(_guard);
-        let took = began.elapsed();
-        for (_, _, degraded) in &items {
-            if *degraded {
-                self.telem.record_degraded_write(took);
-            }
-            self.telem.record_foreground_write(took);
+        let mut parity_olds = BTreeMap::new();
+        for (&paddr, read) in members.iter().zip(reads) {
+            let old = match read? {
+                Some(bytes) => bytes,
+                // Lost on a live disk: its new value needs its old one.
+                None if self.chunk_available(paddr) => match rebuild(paddr)? {
+                    Some(bytes) => bytes,
+                    None => return Ok(None),
+                },
+                None => continue,
+            };
+            parity_olds.insert(paddr, old);
         }
-        Ok(())
+        Ok(Some((olds, parity_olds)))
     }
 
     /// The locked body of [`Self::write_group`]: writes each chunk's new
     /// value and accumulates every parity delta across the group so each
     /// touched parity chunk is read-modify-written **once**, not once per
     /// member. Callers hold either the region guards covering `regions` or
-    /// the exclusive update lock, and have already snapshotted `olds`.
+    /// the exclusive update lock, and have already snapshotted the old
+    /// values (see [`Self::snapshot_olds`]).
+    ///
+    /// Compute-then-commit: every member's absolute new value is derived
+    /// before any device is touched (outer parity absorbs Δ directly, each
+    /// affected row's inner parities the code-weighted Δ), then the whole
+    /// group commits through [`Self::commit_members`] — journaled as one
+    /// intent record when a journal is attached.
     fn apply_write_group(
         &self,
         group: &[ChunkPatches<'_>],
         items: &[(ChunkAddr, ChunkAddr, bool)],
-        olds: &[Vec<u8>],
+        (olds, mut parity_olds): Snapshot,
         regions: &[Region],
+        fan: bool,
     ) -> Result<(), StoreError> {
         let mut parity: BTreeMap<ChunkAddr, Vec<u8>> = BTreeMap::new();
-        let mut news: Vec<MemberNew> = Vec::with_capacity(group.len());
+        let mut news: Vec<MemberNew> = Vec::with_capacity(group.len() + parity_olds.len());
         for (((_, chunk_patches), (addr, outer, _)), old) in group.iter().zip(items).zip(olds) {
             // New value = old overlaid with this chunk's patches in
             // submission order.
             let mut new = self.pool.take_dirty();
-            new.copy_from_slice(old);
+            new.copy_from_slice(&old);
             for (within, slice) in chunk_patches {
                 new[*within..*within + slice.len()].copy_from_slice(slice);
             }
-            let mut delta = self.pool.take_dirty();
-            for ((d, o), n) in delta.iter_mut().zip(old).zip(&new) {
-                *d = o ^ n;
-            }
+            let mut delta = old;
+            gf::kernels::xor_acc(&mut delta, &new);
             // Outer parity absorbs Δ directly; each affected row's inner
             // parities absorb the code-weighted Δ — all into the group
             // accumulator rather than the devices.
@@ -2343,14 +2427,23 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
         }
         // Each accumulated parity delta resolves to one absolute new value
-        // (one read-modify per touched parity chunk, not one per member);
-        // the whole group then commits as a single journal intent — one
-        // record, one flush, however many chunks the wave coalesced.
-        self.resolve_parity_news(parity, &mut news)?;
-        self.commit_members(&news)?;
+        // against the snapshot (one read-modify per touched parity chunk,
+        // not one per member); the whole group then commits as a single
+        // journal intent — one record, one flush, however many chunks the
+        // wave coalesced.
+        for (paddr, pdelta) in parity {
+            if let Some(mut bytes) = parity_olds.remove(&paddr) {
+                gf::kernels::xor_acc(&mut bytes, &pdelta);
+                news.push((paddr, bytes, false));
+            }
+            self.pool.put(pdelta);
+        }
+        self.commit_members(&news, fan)?;
         for (_, buf, _) in news {
             self.pool.put(buf);
         }
+        // Tell an in-flight rebuild that these relations changed under it:
+        // reconstructions read from them this round are stale.
         self.online.mark_dirty(regions.to_vec());
         Ok(())
     }
@@ -2358,8 +2451,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// Accumulates the inner-parity deltas for an update of `delta` at
     /// payload chunk `addr` into the update's parity accumulator (P gets
     /// `Δ`; the RAID6 Q gets `2^pos · Δ`, matching [`Raid6::encode`]'s
-    /// generator). Availability is checked when the accumulator resolves
-    /// to absolute values in [`Self::resolve_parity_news`].
+    /// generator). Availability is checked when the old-value snapshot is
+    /// taken in [`Self::snapshot_olds`].
     fn acc_row_parities(
         &self,
         parity: &mut BTreeMap<ChunkAddr, Vec<u8>>,

@@ -290,3 +290,53 @@ fn degraded_io_matrix_with_transient_faults() {
         verify_store(&store, &expect, &written);
     }
 }
+
+#[test]
+fn latent_sectors_reconstruct_on_foreground_reads_and_writes() {
+    let store = faulty_mem_store(64);
+    let mut expect = fill(&store, 0x1A7E);
+    store.devices()[4].set_config(FaultConfig {
+        seed: 7,
+        latent_per_mille: 300,
+        ..FaultConfig::default()
+    });
+    // Data chunk 70 sits on a latent sector of a live disk.
+    let addr = store.locate(70);
+    assert_eq!((addr.disk, addr.offset), (4, 8));
+    assert!(store.devices()[4].is_latent_bad(8));
+    assert_eq!(store.read_data(70).unwrap(), expect[70]);
+    assert_eq!(
+        store.read_data_batch(&[70]).unwrap(),
+        vec![expect[70].clone()]
+    );
+    let all: Vec<usize> = (0..store.data_chunks()).collect();
+    assert_eq!(store.read_data_batch(&all).unwrap(), expect);
+    for (idx, want) in expect.iter().enumerate() {
+        assert_eq!(&store.read_data(idx).unwrap(), want, "chunk {idx}");
+    }
+    let latent = (0..store.array().chunks_per_disk())
+        .filter(|&c| store.devices()[4].is_latent_bad(c))
+        .count();
+    assert!(latent >= 2, "disk 4 carries {latent} latent sectors");
+
+    // Writes over latent data chunks and latent parity members
+    // reconstruct the old value, then rewrite (and so repair) the sector.
+    // A batch over every data chunk touches every chunk of disk 4.
+    let cs = store.chunk_size();
+    let new70 = vec![0x70; cs];
+    store.write_data(70, &new70).unwrap();
+    expect[70] = new70;
+    let fresh: Vec<(u64, Vec<u8>)> = (0..store.data_chunks())
+        .map(|i| ((i * cs) as u64, vec![i as u8 ^ 0x5A; cs]))
+        .collect();
+    let ranges: Vec<(u64, &[u8])> = fresh.iter().map(|(o, d)| (*o, d.as_slice())).collect();
+    store.write_bytes_batch(&ranges).unwrap();
+    for (off, data) in &fresh {
+        expect[*off as usize / cs] = data.clone();
+    }
+    assert_eq!(store.read_data_batch(&all).unwrap(), expect);
+    assert!((0..store.array().chunks_per_disk()).all(|c| !store.devices()[4].is_latent_bad(c)));
+    disarm(&store);
+    assert!(store.check_parity().is_empty(), "parity clean after repair");
+    assert_eq!(store.read_data_batch(&all).unwrap(), expect);
+}
