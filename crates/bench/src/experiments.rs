@@ -621,14 +621,14 @@ pub fn e12_dual_parity() -> Vec<(String, Table)> {
     )]
 }
 
-/// E13 — measured parallel vs serial rebuild on the byte-level store.
+/// E13 — measured DAG vs serial rebuild on the byte-level store.
 ///
 /// Unlike E1 (discrete-event simulation), this runs the plan-driven rebuild
 /// engine against real bytes on latency-injected block devices: each chunk
 /// read sleeps for a disk-like service time, so the wall-clock ratio shows
 /// the genuine payoff of draining every surviving disk concurrently. Also
-/// reports the per-device I/O counters of a parallel single-failure run —
-/// the measured counterpart of the paper's balanced-rebuild-load claim.
+/// reports the per-device I/O counters of a DAG single-failure run — the
+/// measured counterpart of the paper's balanced-rebuild-load claim.
 pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
     use blockdev::{BlockDevice, FaultConfig, FaultInjectingDevice, MemDevice};
     use oi_raid::{OiRaidStore, RebuildMode};
@@ -641,8 +641,9 @@ pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
         let probe = OiRaidStore::new(cfg.clone(), CHUNK).expect("reference store");
         probe.devices()[0].chunks()
     };
-    // Read latency only: filling the store does reads too, and write
-    // latency would just slow both modes identically.
+    // Read latency only: filling the store does reads too. Writes are
+    // free here, which is the DAG's worst case (its pool overhead is not
+    // hidden behind writeback time); E18 arms write latency too.
     let make_store = || {
         let devices: Vec<_> = (0..21)
             .map(|_| {
@@ -662,13 +663,13 @@ pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
     // A rebuilt store is bit-identical to its pre-failure self, so the same
     // two stores serve every failure pattern in sequence.
     let serial = make_store();
-    let parallel = make_store();
+    let dag = make_store();
     let mut timing = Table::new(&[
         "failed disks",
         "chunks",
         "reads",
         "serial (ms)",
-        "parallel (ms)",
+        "dag (ms)",
         "workers",
         "speedup",
     ]);
@@ -676,27 +677,27 @@ pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
     for pattern in [vec![4usize], vec![2, 9], vec![2, 9, 17]] {
         for &d in &pattern {
             serial.fail_disk(d).expect("valid disk");
-            parallel.fail_disk(d).expect("valid disk");
+            dag.fail_disk(d).expect("valid disk");
         }
         let rs = serial
             .rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid)
             .expect("recoverable pattern");
-        let rp = parallel
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+        let rd = dag
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .expect("recoverable pattern");
-        assert_eq!(rs.total_reads(), rp.total_reads(), "same read schedule");
-        let (s_ms, p_ms) = (rs.wall.as_secs_f64() * 1e3, rp.wall.as_secs_f64() * 1e3);
+        assert_eq!(rs.total_reads(), rd.total_reads(), "same read schedule");
+        let (s_ms, d_ms) = (rs.wall.as_secs_f64() * 1e3, rd.wall.as_secs_f64() * 1e3);
         timing.row_owned(vec![
             format!("{pattern:?}"),
-            rp.chunks_rebuilt.to_string(),
-            rp.total_reads().to_string(),
+            rd.chunks_rebuilt.to_string(),
+            rd.total_reads().to_string(),
             f3(s_ms),
-            f3(p_ms),
-            rp.workers.to_string(),
-            f3(s_ms / p_ms),
+            f3(d_ms),
+            rd.workers.to_string(),
+            f3(s_ms / d_ms),
         ]);
         if pattern.len() == 1 {
-            single_report = Some(rp);
+            single_report = Some(rd);
         }
     }
     let mut per_device = Table::new(&["disk", "reads", "writes", "bytes read", "bytes written"]);
@@ -712,11 +713,12 @@ pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
     }
     vec![
         (
-            "E13: measured parallel vs serial rebuild (21 disks, 300us/read devices)".into(),
+            "E13: measured DAG vs serial rebuild (21 disks, 300us/read devices, free writes)"
+                .into(),
             timing,
         ),
         (
-            "E13: per-device I/O of the parallel single-failure rebuild (disk 4)".into(),
+            "E13: per-device I/O of the DAG single-failure rebuild (disk 4)".into(),
             per_device,
         ),
     ]
@@ -828,7 +830,7 @@ pub fn e14_kernel_throughput() -> Vec<(String, Table)> {
         "chunks",
         "serial (ms)",
         "serial (MiB/s)",
-        "parallel (ms)",
+        "dag (ms)",
         "speedup vs scalar",
     ]);
     let forced = [
@@ -850,11 +852,11 @@ pub fn e14_kernel_throughput() -> Vec<(String, Table)> {
             .rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid)
             .expect("recoverable");
         store.fail_disk(4).expect("valid disk");
-        let rp = store
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+        let rd = store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .expect("recoverable");
         let s_ms = rs.wall.as_secs_f64() * 1e3;
-        let p_ms = rp.wall.as_secs_f64() * 1e3;
+        let d_ms = rd.wall.as_secs_f64() * 1e3;
         if path == Some(KernelPath::Scalar) {
             scalar_ms = s_ms;
         }
@@ -864,7 +866,7 @@ pub fn e14_kernel_throughput() -> Vec<(String, Table)> {
             rs.chunks_rebuilt.to_string(),
             f3(s_ms),
             f3(mib / (s_ms / 1e3)),
-            f3(p_ms),
+            f3(d_ms),
             f3(scalar_ms / s_ms),
         ]);
     }
@@ -1118,7 +1120,7 @@ pub fn e16_self_healing() -> Vec<(String, Table)> {
             }
             store.fail_disk(4).expect("valid disk");
             let report = store
-                .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+                .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
                 .expect("self-healing rebuild never errors on faults");
             // Disarm (keeping the latency model) before verifying bytes.
             for dev in store.devices() {
@@ -1187,7 +1189,7 @@ pub fn e16_self_healing() -> Vec<(String, Table)> {
 
     vec![
         (
-            "E16a: parallel rebuild of disk 4 under injected faults (100us/read devices)".into(),
+            "E16a: DAG rebuild of disk 4 under injected faults (100us/read devices)".into(),
             rebuild,
         ),
         (
@@ -1290,7 +1292,7 @@ pub fn e17_online_qos() -> Vec<(String, Table)> {
                 while began.elapsed() < STORM || cycles == 0 {
                     store.fail_disk(4).expect("valid disk");
                     let r = store
-                        .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+                        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
                         .expect("rebuild");
                     assert_eq!(r.outcome, RebuildOutcome::Complete);
                     cycles += 1;
@@ -1348,19 +1350,20 @@ pub fn e17_online_qos() -> Vec<(String, Table)> {
     )]
 }
 
-/// E18 — DAG-scheduled rebuild vs the barrier-round engine.
+/// E18 — DAG-scheduled rebuild against the serial oracle and the spindle
+/// floor.
 ///
 /// Two tables. **E18a** rebuilds the same 2-disk failure (disks 4 and 9)
-/// on 300 µs spindles with the parallel barrier engine and with the DAG
-/// executor at several pool sizes: the barrier engine serializes every
-/// writeback into the driver thread after each read phase, while the DAG
-/// overlaps writebacks with reads on other disks, so the speedup column
-/// isolates exactly the barrier cost. **E18b** runs a rebuild storm on one
-/// thread while the main thread issues foreground RMW `write_data` calls
-/// to chunks off the failed disks, and reports the foreground write
-/// percentiles per engine — degraded RMW now enters through striped
-/// per-region locks rather than a store-wide update lock, so foreground
-/// writes keep flowing under either engine. The `degraded` column counts
+/// on 300 µs spindles with the serial oracle and with the DAG executor at
+/// several pool sizes. The speedup column is relative to serial; the
+/// `wall / floor` column divides each wall by the busiest spindle's
+/// injected service time, a hard lower bound on any engine because each
+/// device sleeps under its spindle lock. **E18b** runs a DAG rebuild storm
+/// on one thread while the main thread issues foreground RMW `write_data`
+/// calls to chunks off the failed disks, and reports the foreground write
+/// percentiles — degraded RMW enters through striped per-region locks
+/// rather than a store-wide update lock, so foreground writes keep flowing
+/// during the rebuild. The `degraded` column counts
 /// writes whose update set had unavailable members mid-rebuild: those skip
 /// the missing devices (the implied value already reflects the write) and
 /// finish in microseconds, which pulls the p50 down while a storm runs.
@@ -1425,31 +1428,40 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
         }
         best.expect("three trials ran")
     };
+    // The busiest spindle's injected service time: no engine can finish
+    // before that disk has served every op the plan gives it.
+    let floor_ms = |r: &oi_raid::RebuildReport| {
+        let busiest = r
+            .device_io
+            .iter()
+            .map(|s| s.injected_latency_ns)
+            .max()
+            .unwrap_or(0);
+        busiest as f64 / 1e6
+    };
     let mut t1 = Table::new(&[
         "engine",
         "pool",
         "wall (ms)",
         "speedup (x)",
+        "floor (ms)",
+        "wall / floor",
         "utilization",
         "steals",
         "peak ready",
         "peak disk queue",
     ]);
-    let base = run_engine(RebuildMode::Parallel, None);
+    let base = run_engine(RebuildMode::Serial, None);
     let base_ms = base.wall.as_secs_f64() * 1e3;
-    let mut auto_speedup = 0.0;
     let runs = [
-        ("parallel (barrier)", None, base),
-        ("dag", Some(1), run_engine(RebuildMode::Dag, Some(1))),
-        ("dag", Some(4), run_engine(RebuildMode::Dag, Some(4))),
-        ("dag (auto)", None, run_engine(RebuildMode::Dag, None)),
+        ("serial (oracle)", base),
+        ("dag", run_engine(RebuildMode::Dag, Some(1))),
+        ("dag", run_engine(RebuildMode::Dag, Some(4))),
+        ("dag (auto)", run_engine(RebuildMode::Dag, None)),
     ];
-    for (name, _, r) in &runs {
+    for (name, r) in &runs {
         let wall_ms = r.wall.as_secs_f64() * 1e3;
-        let speedup = base_ms / wall_ms;
-        if *name == "dag (auto)" {
-            auto_speedup = speedup;
-        }
+        let floor = floor_ms(r);
         let peak_queue = r
             .device_io
             .iter()
@@ -1460,7 +1472,9 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
             (*name).into(),
             r.workers.to_string(),
             f3(wall_ms),
-            f3(speedup),
+            f3(base_ms / wall_ms),
+            f3(floor),
+            f3(wall_ms / floor),
             f3(r.worker_utilization()),
             r.sched.steals.to_string(),
             r.sched.max_ready_depth.to_string(),
@@ -1468,13 +1482,16 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
         ]);
     }
     // The headline acceptance bound: the DAG engine at its default pool
-    // size beats the barrier engine by >= 1.5x on this workload.
+    // size finishes within 2.30x of the busiest spindle's service time
+    // (best of three runs).
+    let auto = &runs[3].1;
+    let auto_over_floor = auto.wall.as_secs_f64() * 1e3 / floor_ms(auto);
     assert!(
-        auto_speedup >= 1.5,
-        "dag speedup {auto_speedup:.3} below the 1.5x bound"
+        auto_over_floor <= 2.30,
+        "dag wall is {auto_over_floor:.3}x the spindle floor, above the 2.30x bound"
     );
 
-    // E18b: foreground RMW latency while each engine's rebuild storm runs.
+    // E18b: foreground RMW latency while a DAG rebuild storm runs.
     let fg_set = |store: &OiRaidStore<FaultInjectingDevice<MemDevice>>| -> Vec<usize> {
         (0..store.data_chunks())
             .filter(|&i| !failed.contains(&store.locate(i).disk))
@@ -1511,51 +1528,46 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
         f3(healthy_p99 as f64 / 1e6),
         "1.000".into(),
     ]);
-    for (name, mode) in [
-        ("parallel (barrier)", RebuildMode::Parallel),
-        ("dag (auto)", RebuildMode::Dag),
-    ] {
-        let store = make_store();
-        let set = fg_set(&store);
-        let done = AtomicBool::new(false);
-        let (cycles, writes) = std::thread::scope(|s| {
-            let storm = s.spawn(|| {
-                let began = Instant::now();
-                let mut cycles = 0u32;
-                while began.elapsed() < STORM || cycles == 0 {
-                    for &d in &failed {
-                        store.fail_disk(d).expect("valid disk");
-                    }
-                    let r = store
-                        .rebuild(mode, RecoveryStrategy::Hybrid)
-                        .expect("rebuild");
-                    assert_eq!(r.outcome, RebuildOutcome::Complete);
-                    cycles += 1;
+    let store = make_store();
+    let set = fg_set(&store);
+    let done = AtomicBool::new(false);
+    let (cycles, writes) = std::thread::scope(|s| {
+        let storm = s.spawn(|| {
+            let began = Instant::now();
+            let mut cycles = 0u32;
+            while began.elapsed() < STORM || cycles == 0 {
+                for &d in &failed {
+                    store.fail_disk(d).expect("valid disk");
                 }
-                done.store(true, Ordering::Relaxed);
-                cycles
-            });
-            let mut i = 0usize;
-            while !done.load(Ordering::Relaxed) && i < 2_000_000 {
-                store
-                    .write_data(set[i % set.len()], &payload(i))
-                    .expect("online write");
-                i += 1;
+                let r = store
+                    .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+                    .expect("rebuild");
+                assert_eq!(r.outcome, RebuildOutcome::Complete);
+                cycles += 1;
             }
-            (storm.join().expect("rebuild storm"), i)
+            done.store(true, Ordering::Relaxed);
+            cycles
         });
-        let snap = store.telemetry().foreground_write_latency().snapshot();
-        assert!(writes > 0, "foreground made no progress under {name}");
-        t2.row_owned(vec![
-            name.into(),
-            cycles.to_string(),
-            snap.count.to_string(),
-            store.telemetry().degraded_writes().to_string(),
-            f3(snap.p50() as f64 / 1e6),
-            f3(snap.p99() as f64 / 1e6),
-            f3(snap.p99() as f64 / healthy_p99 as f64),
-        ]);
-    }
+        let mut i = 0usize;
+        while !done.load(Ordering::Relaxed) && i < 2_000_000 {
+            store
+                .write_data(set[i % set.len()], &payload(i))
+                .expect("online write");
+            i += 1;
+        }
+        (storm.join().expect("rebuild storm"), i)
+    });
+    let snap = store.telemetry().foreground_write_latency().snapshot();
+    assert!(writes > 0, "foreground made no progress during the storm");
+    t2.row_owned(vec![
+        "dag (auto)".into(),
+        cycles.to_string(),
+        snap.count.to_string(),
+        store.telemetry().degraded_writes().to_string(),
+        f3(snap.p50() as f64 / 1e6),
+        f3(snap.p99() as f64 / 1e6),
+        f3(snap.p99() as f64 / healthy_p99 as f64),
+    ]);
 
     vec![
         (

@@ -42,8 +42,8 @@
 //!   backends that actually encodes, loses, and reconstructs real data
 //!   through both layers — and keeps serving (degraded) reads *and writes*
 //!   while disks are down or a rebuild is in flight; [`RebuildMode`] /
-//!   [`RebuildReport`] — the plan-driven (optionally parallel) instrumented
-//!   rebuild engine; [`QosConfig`] — the foreground/rebuild bandwidth
+//!   [`RebuildReport`] — the plan-driven instrumented rebuild engine (a
+//!   serial oracle and a DAG executor on a work-stealing pool); [`QosConfig`] — the foreground/rebuild bandwidth
 //!   throttle (`OI_RAID_REBUILD_THROTTLE`).
 //!
 //! # Example

@@ -3,8 +3,9 @@
 //! A [`RebuildObserver`] bundles the three telemetry primitives a rebuild
 //! feeds: per-stage latency histograms ([`StageTimings`]), a span
 //! [`Tracer`] whose ring captures the rebuild's structure (root span,
-//! sequential `plan`/`heal`/`execute`/`writeback` stages, one child per
-//! reader thread), and a [`Progress`] handle another thread can poll while
+//! sequential `plan`/`heal`/`execute`/`writeback` stages, and a
+//! `dag-pool-{workers}` child of `execute` per DAG round), and a
+//! [`Progress`] handle another thread can poll while
 //! [`OiRaidStore::rebuild_observed`](crate::OiRaidStore::rebuild_observed)
 //! runs.
 //!
@@ -30,9 +31,6 @@ pub struct StageTimings {
     pub combine: Arc<Histogram>,
     /// Write-back time per rebuilt chunk.
     pub writeback: Arc<Histogram>,
-    /// Combiner input-queue depth, sampled at every receive (parallel
-    /// mode): how far the readers run ahead of the combiner.
-    pub queue_depth: Arc<Histogram>,
 }
 
 impl StageTimings {
@@ -98,7 +96,7 @@ impl fmt::Display for StageSummary {
 #[derive(Debug)]
 pub struct RebuildObserver {
     /// Span ring; the rebuild records a root `rebuild` span with
-    /// sequential stage children and one child per reader thread.
+    /// sequential stage children and one pool span per DAG round.
     pub tracer: Arc<Tracer>,
     /// Live progress, pollable from other threads mid-rebuild.
     pub progress: Arc<Progress>,
@@ -131,8 +129,9 @@ impl RebuildObserver {
         }
     }
 
-    /// Registers the observer's stage and queue-depth histograms with a
-    /// metric registry (live handles — exports track later rebuilds too).
+    /// Registers the observer's stage histograms, heal counters and
+    /// scheduler gauges with a metric registry (live handles — exports
+    /// track later rebuilds too).
     pub fn export_metrics(&self, reg: &Registry) {
         const HELP: &str = "Rebuild stage service time in nanoseconds";
         for s in [
@@ -148,12 +147,6 @@ impl RebuildObserver {
                 Arc::clone(s.1),
             );
         }
-        reg.register_histogram(
-            "oi_rebuild_queue_depth",
-            "Combiner input-queue depth sampled at each receive",
-            &[],
-            Arc::clone(&self.stages.queue_depth),
-        );
         for (name, help, c) in [
             (
                 "oi_rebuild_retries_total",
@@ -228,9 +221,9 @@ mod tests {
         obs.export_metrics(&reg);
         assert_eq!(
             reg.len(),
-            17,
-            "4 stages + queue depth + 6 heal counters + 3 ring-drop \
-             counters + 3 scheduler series"
+            16,
+            "4 stages + 6 heal counters + 3 ring-drop counters + 3 \
+             scheduler series"
         );
         // Live: recording after registration shows up in the export.
         obs.stages.combine.record(1234);
