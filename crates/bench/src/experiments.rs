@@ -1358,7 +1358,9 @@ pub fn e17_online_qos() -> Vec<(String, Table)> {
 /// several pool sizes. The speedup column is relative to serial; the
 /// `wall / floor` column divides each wall by the busiest spindle's
 /// injected service time, a hard lower bound on any engine because each
-/// device sleeps under its spindle lock. **E18b** runs a DAG rebuild storm
+/// device sleeps under its spindle lock. Every DAG row must report a peak
+/// disk queue of 1: the scheduler runs at most one op per device. **E18b**
+/// runs a DAG rebuild storm
 /// on one thread while the main thread issues foreground RMW `write_data`
 /// calls to chunks off the failed disks, and reports the foreground write
 /// percentiles — degraded RMW enters through striped per-region locks
@@ -1459,15 +1461,18 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
         ("dag", run_engine(RebuildMode::Dag, Some(4))),
         ("dag (auto)", run_engine(RebuildMode::Dag, None)),
     ];
-    for (name, r) in &runs {
-        let wall_ms = r.wall.as_secs_f64() * 1e3;
-        let floor = floor_ms(r);
-        let peak_queue = r
-            .device_io
+    // Deepest queue any spindle saw: the scheduler dispatches one op per
+    // disk at a time, so every DAG row must report 1.
+    let peak_queue = |r: &oi_raid::RebuildReport| {
+        r.device_io
             .iter()
             .map(|s| s.max_inflight)
             .max()
-            .unwrap_or(0);
+            .unwrap_or(0)
+    };
+    for (name, r) in &runs {
+        let wall_ms = r.wall.as_secs_f64() * 1e3;
+        let floor = floor_ms(r);
         t1.row_owned(vec![
             (*name).into(),
             r.workers.to_string(),
@@ -1478,8 +1483,16 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
             f3(r.worker_utilization()),
             r.sched.steals.to_string(),
             r.sched.max_ready_depth.to_string(),
-            peak_queue.to_string(),
+            peak_queue(r).to_string(),
         ]);
+    }
+    for (name, r) in &runs[1..] {
+        assert_eq!(
+            peak_queue(r),
+            1,
+            "{name} (pool {}) queued several ops on one spindle",
+            r.workers
+        );
     }
     // The headline acceptance bound: the DAG engine at its default pool
     // size finishes within 2.30x of the busiest spindle's service time

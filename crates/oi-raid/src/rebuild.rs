@@ -76,8 +76,9 @@ pub enum RebuildMode {
     Serial,
     /// The plan lowered into an explicit op DAG (read → combine → writeback
     /// nodes with atomic indegrees) executed by a work-stealing pool over
-    /// per-device ready queues — no round barrier between read, decode, and
-    /// writeback; see [`crates/sched`](sched).
+    /// per-device ready queues, one op per device at a time — no round
+    /// barrier between read, decode, and writeback; see
+    /// [`crates/sched`](sched).
     Dag,
 }
 
@@ -141,7 +142,9 @@ pub struct RebuildReport {
     pub outcome: RebuildOutcome,
     /// Execution rounds: 1 for a fault-free run, +1 per re-plan.
     pub rounds: u32,
-    /// Pool threads used in the first round (0 for serial mode).
+    /// Pool threads used in the first round (0 for serial mode): by
+    /// default one per disk plus one for combines
+    /// ([`OiRaidStore::set_dag_workers`] overrides).
     pub workers: usize,
     /// Wall-clock time of plan execution (excludes planning and healing).
     pub wall: Duration,
@@ -177,7 +180,10 @@ pub struct RebuildReport {
     pub stages: Vec<StageSummary>,
     /// Busy time per pool worker, in worker order: time inside any op
     /// (read/combine/writeback) — compare against [`RebuildReport::wall`]
-    /// for utilization. Empty for serial mode.
+    /// for utilization. The scheduler hands a disk's op to a worker only
+    /// while no other op is on that disk, so this is device service plus
+    /// compute, never time queued behind another rebuild op on a spindle.
+    /// Empty for serial mode.
     pub worker_busy: Vec<Duration>,
     /// DAG-scheduler statistics summed over all rounds (all-zero for
     /// serial mode).
@@ -204,7 +210,9 @@ impl RebuildReport {
     /// Mean worker utilization over the whole pool: total busy time
     /// divided by `wall × workers`, in `0.0..=1.0` (0.0 for serial mode).
     /// Each entry of [`RebuildReport::worker_busy`] is one pool worker's
-    /// time spent inside ops.
+    /// time spent inside ops. With one op per disk at a time and one
+    /// worker per disk, a low value means idle disks (no ready op for
+    /// them), not an oversized pool.
     pub fn worker_utilization(&self) -> f64 {
         if self.worker_busy.is_empty() || self.wall.is_zero() {
             return 0.0;
@@ -1511,8 +1519,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// with explicit dependency edges, executed by a work-stealing pool
     /// over per-device ready queues (see [`sched`]). Nothing here waits
     /// for a phase: a chunk's writeback runs the moment its combine
-    /// finishes, while other chunks are still being read — so every
-    /// surviving disk's queue stays deep for the whole round.
+    /// finishes, while other chunks are still being read. The scheduler
+    /// runs one op per disk at a time, so a disk with a ready op is busy
+    /// and no worker waits behind another op on a spindle.
     ///
     /// Faults follow the same healing contract as the serial oracle: an
     /// unreadable source poisons exactly the items that needed it (their
@@ -1605,9 +1614,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let write_stats = RetryStats::default();
         let policy = self.retry_policy();
         let qos = self.qos();
+        // The scheduler runs at most one op per disk, so the default pool
+        // is one worker per disk the graph can touch plus one for combines.
         let workers = self
             .dag_workers()
-            .unwrap_or_else(|| (2 * queues.len()).max(1));
+            .unwrap_or_else(|| self.array().disks() + 1);
         let _pool_span = exec_span.child(format!("dag-pool-{workers}"));
 
         let report = sched::run(

@@ -393,8 +393,8 @@ pub struct OiRaidStore<B: BlockDevice = MemDevice> {
     /// Foreground/rebuild bandwidth arbitration.
     qos: QosState,
     /// Pool-size override for [`RebuildMode::Dag`](crate::RebuildMode::Dag)
-    /// rounds; `usize::MAX` is the "unset" sentinel (= size the pool from
-    /// the plan's queue count).
+    /// rounds; `usize::MAX` is the "unset" sentinel (= one worker per disk
+    /// plus one).
     dag_workers: AtomicUsize,
     /// Recycled chunk-sized scratch buffers for the RMW delta/parity legs.
     pool: BufPool,
@@ -855,11 +855,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Overrides the DAG-mode worker-pool size. `None` (the default) sizes
-    /// the pool at twice the plan's per-disk queue count, enough to keep
-    /// every surviving disk's queue busy while combines and writebacks
-    /// overlap. Takes `&self` — the next DAG round picks up the new size.
-    /// (`Some(usize::MAX)` is reserved as the "unset" sentinel and reads
-    /// back as `None`.)
+    /// the pool at one worker per disk plus one: the scheduler runs at most
+    /// one op per disk, so that keeps every disk busy while combines
+    /// overlap, and a larger pool only idles. Takes `&self` — the next DAG
+    /// round picks up the new size. (`Some(usize::MAX)` is reserved as the
+    /// "unset" sentinel and reads back as `None`.)
     pub fn set_dag_workers(&self, workers: Option<usize>) {
         self.dag_workers
             .store(workers.unwrap_or(usize::MAX), Ordering::Relaxed);

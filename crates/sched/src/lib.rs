@@ -6,14 +6,20 @@
 //! decrements each dependent's indegree, and the decrement that reaches
 //! zero — and only that one, by the atomicity of `fetch_sub` — pushes the
 //! dependent onto a ready queue. There are no phase barriers anywhere:
-//! every op runs the instant its inputs exist and a worker is free, so
-//! thousands of ops stay in flight across all devices at once.
+//! every op runs the instant its inputs exist and a worker (and, for a
+//! device-bound op, its device) is free, so every device stays busy while
+//! it has ready work.
 //!
 //! Ops may carry a *device affinity*. Each device gets its own ready
 //! queue; a worker prefers its home queue and **steals** from the others
-//! when it runs dry, which keeps every device's queue deep (the property
-//! declustered RAID layouts exist to exploit) while still draining hot
-//! spots with idle workers.
+//! when it runs dry, which drains hot spots with idle workers. Device-bound
+//! ops are dispatched **exclusively**: each device queue has one in-flight
+//! slot, a worker claims it before popping and releases it when the op is
+//! finalized, and queues whose slot is taken are skipped. A device (one
+//! spindle) therefore never has two of the graph's ops inside it, so no
+//! worker ever sleeps in a device's queue while other devices' ready ops
+//! wait for a free worker. Device-less ops (the trailing shared queue) are
+//! uncapped.
 //!
 //! Failure is a first-class edge of the graph, not an exception: an op
 //! whose callback returns [`OpStatus::Failed`] *poisons* its dependents,
@@ -211,6 +217,9 @@ struct Shared<'g, T> {
     /// One ready queue per device plus a trailing shared queue for
     /// device-less ops.
     queues: Vec<Mutex<VecDeque<OpId>>>,
+    /// In-flight slot per device queue (the shared queue has none): set
+    /// while one of that queue's ops is between pop and finalization.
+    busy: Vec<AtomicBool>,
     /// Ops not yet finalized (executed or cancelled). The run is over when
     /// this reaches zero.
     remaining: AtomicUsize,
@@ -247,28 +256,43 @@ impl<'g, T> Shared<'g, T> {
     }
 
     /// Pops from the home queue, else steals round-robin from the others.
+    /// A device queue is served only if its in-flight slot can be claimed
+    /// (under the queue lock, so a claimed slot always has an op to run).
     fn pop(&self, home: usize) -> Option<OpId> {
         let nq = self.queues.len();
         for i in 0..nq {
             let q = (home + i) % nq;
-            if let Some(op) = self.queues[q].lock().expect("queue lock").pop_front() {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                self.metrics.ready_queue_depth.add(-1);
-                if i != 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.steals.inc();
-                }
-                return Some(op);
+            let slot = self.busy.get(q);
+            if slot.is_some_and(|s| s.load(Ordering::Acquire)) {
+                continue;
             }
+            let mut queue = self.queues[q].lock().expect("queue lock");
+            if queue.is_empty() || slot.is_some_and(|s| s.swap(true, Ordering::AcqRel)) {
+                continue;
+            }
+            let op = queue.pop_front().expect("queue is non-empty");
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            self.metrics.ready_queue_depth.add(-1);
+            if i != 0 {
+                self.steals.fetch_add(1, Ordering::Relaxed);
+                self.metrics.steals.inc();
+            }
+            return Some(op);
         }
         None
     }
 
-    /// Decrements every dependent's indegree; the decrement that lands on
+    /// Releases `op`'s device slot (executed and cancelled ops alike), then
+    /// decrements every dependent's indegree; the decrement that lands on
     /// zero — exactly one, by `fetch_sub` atomicity — enqueues it. A
     /// failed/cancelled op poisons the dependent first, so the poison is
     /// visible before the dependent can possibly run.
     fn finish(&self, op: OpId, ok: bool) {
+        if let Some(slot) = self.busy.get(self.queue_of(op)) {
+            slot.store(false, Ordering::Release);
+            // The device's next ready op may be waiting for this slot.
+            self.wake.notify_one();
+        }
         for &dep in &self.graph.dependents[op] {
             if !ok {
                 self.poisoned[dep].store(true, Ordering::Release);
@@ -288,6 +312,9 @@ impl<'g, T> Shared<'g, T> {
 /// Executes `graph` on `workers` threads over `devices` per-device ready
 /// queues, calling `f(worker, op, payload)` for each runnable op. Returns
 /// once every op is executed or cancelled.
+///
+/// At most one op per device queue runs at a time (device `d` maps to
+/// queue `d % devices`), so more than `devices + 1` workers only idle.
 ///
 /// The callback decides success: [`OpStatus::Failed`] cancels the op's
 /// transitive dependents (they are reported, not run). `metrics` gauges
@@ -317,6 +344,7 @@ where
         queues: (0..devices + 1)
             .map(|_| Mutex::new(VecDeque::new()))
             .collect(),
+        busy: (0..devices).map(|_| AtomicBool::new(false)).collect(),
         remaining: AtomicUsize::new(graph.len()),
         idle: Mutex::new(()),
         wake: Condvar::new(),
@@ -583,6 +611,105 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Device exclusivity under contention: random layered graphs over 2-4
+    /// devices plus device-less ops, an oversubscribed pool, and a live
+    /// per-device counter inside the callback that must never exceed 1.
+    /// Shared-queue ops keep running beside device ops, every op fires at
+    /// most once, and executed + cancelled covers the graph. Every other
+    /// iteration fails some device ops: their cancelled dependents claim
+    /// and release device slots too, so a leaked slot would hang the run.
+    #[test]
+    fn stress_device_ops_run_exclusively() {
+        let iters: usize = if std::env::var("OI_SCHED_STRESS").is_ok() {
+            200
+        } else {
+            40
+        };
+        let mut seed = 0xD1B54A32D192ED03u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let (mut overlapped, mut cancelled) = (0usize, 0u64);
+        for iter in 0..iters {
+            let devices = 2 + (next() % 3) as usize;
+            let mut g = OpGraph::new();
+            let mut prev: Vec<OpId> = Vec::new();
+            for l in 0..4 + (next() % 4) as usize {
+                let mut cur = Vec::new();
+                for i in 0..6 + (next() % 14) as usize {
+                    let dev = match next() % 4 {
+                        0 => None,
+                        r => Some((r as usize + i) % devices),
+                    };
+                    let op = g.add_node((l, i), dev);
+                    if !prev.is_empty() {
+                        for _ in 0..(next() % 4) {
+                            g.add_edge(prev[(next() as usize) % prev.len()], op);
+                        }
+                    }
+                    cur.push(op);
+                }
+                prev = cur;
+            }
+            let failing = iter % 2 == 1;
+            let fail_mask: Vec<bool> = (0..g.len())
+                .map(|op| failing && g.device[op].is_some() && next() % 6 == 0)
+                .collect();
+            let fired: Vec<Count> = (0..g.len()).map(|_| Count::new(0)).collect();
+            let inside: Vec<Count> = (0..devices).map(|_| Count::new(0)).collect();
+            let peak = Count::new(0);
+            let overlap = AtomicBool::new(false);
+            let r = run(24, devices, &SchedMetrics::default(), &g, |_, op, _| {
+                fired[op].fetch_add(1, Ordering::AcqRel);
+                match g.device[op] {
+                    Some(d) => {
+                        let now = inside[d].fetch_add(1, Ordering::AcqRel) + 1;
+                        peak.fetch_max(now, Ordering::AcqRel);
+                        std::thread::sleep(Duration::from_micros(50));
+                        inside[d].fetch_sub(1, Ordering::AcqRel);
+                    }
+                    None => {
+                        if inside.iter().any(|c| c.load(Ordering::Acquire) > 0) {
+                            overlap.store(true, Ordering::Relaxed);
+                        }
+                    }
+                }
+                if fail_mask[op] {
+                    OpStatus::Failed
+                } else {
+                    OpStatus::Done
+                }
+            });
+            assert_eq!(
+                peak.load(Ordering::Acquire),
+                1,
+                "iter {iter}: two ops inside one device"
+            );
+            assert_eq!(
+                r.stats.executed + r.stats.cancelled,
+                g.len() as u64,
+                "iter {iter}: every op finalized exactly once"
+            );
+            assert!(
+                fired.iter().all(|c| c.load(Ordering::Acquire) <= 1),
+                "iter {iter}: an op fired twice"
+            );
+            for &op in &r.cancelled {
+                assert_eq!(fired[op].load(Ordering::Acquire), 0, "iter {iter}");
+            }
+            cancelled += r.stats.cancelled;
+            overlapped += usize::from(overlap.load(Ordering::Relaxed));
+        }
+        assert!(
+            overlapped > 0,
+            "shared-queue ops never ran beside a device op"
+        );
+        assert!(cancelled > 0, "no failure ever cancelled a dependent");
     }
 
     /// Same stress shape but with random failures: executed + cancelled

@@ -62,17 +62,22 @@ fn pick_failures(n: usize, count: usize, seed: u64) -> Vec<usize> {
 
 /// Rebuilds two identically-filled stores, one with the serial oracle and
 /// one with the DAG engine, and checks bit-identity, parity, and
-/// per-device read counters across both.
+/// per-device read counters across both. Device counters (including the
+/// peak queue depth) restart after the disks fail, so the returned DAG
+/// report's `device_io` covers the rebuild alone.
 fn assert_dag_matches_serial<B: BlockDevice>(
     serial: OiRaidStore<B>,
     dag: OiRaidStore<B>,
     failures: &[usize],
     strategy: RecoveryStrategy,
-) -> Result<(), TestCaseError> {
+) -> Result<RebuildReport, TestCaseError> {
     let pristine: Vec<Vec<u8>> = failures.iter().map(|&d| disk_image(&serial, d)).collect();
     for &d in failures {
         serial.fail_disk(d).unwrap();
         dag.fail_disk(d).unwrap();
+    }
+    for dev in serial.devices().iter().chain(dag.devices()) {
+        dev.reset_counters();
     }
     let rs = serial.rebuild(RebuildMode::Serial, strategy).unwrap();
     let rd = dag.rebuild(RebuildMode::Dag, strategy).unwrap();
@@ -101,7 +106,7 @@ fn assert_dag_matches_serial<B: BlockDevice>(
     }
     prop_assert!(serial.check_parity().is_empty(), "serial parity");
     prop_assert!(dag.check_parity().is_empty(), "dag parity");
-    Ok(())
+    Ok(rd)
 }
 
 fn strategy_from(pick: u32) -> RecoveryStrategy {
@@ -167,6 +172,50 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&base);
         prop_assert!(same, "backends diverged");
+    }
+}
+
+/// A reference store on single-spindle members: every device serves one
+/// op at a time and sleeps 300 µs per read or write. The fill runs with
+/// the latency disarmed.
+fn spindle_store(seed: u64) -> OiRaidStore<FaultInjectingDevice<MemDevice>> {
+    let cfg = OiRaidConfig::reference();
+    let (disks, chunks) = {
+        let probe = OiRaidStore::new(cfg.clone(), 32).unwrap();
+        (probe.array().disks(), probe.devices()[0].chunks())
+    };
+    let devices = (0..disks)
+        .map(|_| FaultInjectingDevice::new(MemDevice::new(32, chunks), FaultConfig::default()))
+        .collect();
+    let mut store = OiRaidStore::with_devices(cfg, 32, devices).unwrap();
+    fill(&mut store, seed);
+    let spindle = std::time::Duration::from_micros(300);
+    for dev in store.devices() {
+        dev.set_config(FaultConfig::latency(spindle, spindle));
+    }
+    store
+}
+
+/// The DAG scheduler runs at most one op per disk: over a whole rebuild,
+/// no single-spindle member ever has two ops inside it, and the rebuilt
+/// images and per-device read counts still equal the serial oracle's.
+#[test]
+fn dag_rebuild_keeps_one_op_per_spindle() {
+    for failures in [&[4][..], &[4, 9], &[2, 9, 17]] {
+        let report = assert_dag_matches_serial(
+            spindle_store(0x5EED),
+            spindle_store(0x5EED),
+            failures,
+            RecoveryStrategy::Hybrid,
+        )
+        .unwrap_or_else(|e| panic!("{failures:?}: {e}"));
+        for (d, io) in report.device_io.iter().enumerate() {
+            assert!(
+                io.max_inflight <= 1,
+                "{failures:?}: disk {d} had {} rebuild ops in flight",
+                io.max_inflight
+            );
+        }
     }
 }
 
